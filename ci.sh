@@ -15,23 +15,17 @@ cargo build --release --examples
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> determinism suite with the bitset miner"
-CUISINE_MINER=eclat-bitset cargo test -q -p cuisine-core --test determinism
-
-echo "==> determinism suite with the dEclat miner"
-CUISINE_MINER=declat cargo test -q -p cuisine-core --test determinism
-
-echo "==> mining smoke at scale 0.2 (dEclat, reordered parallel DFS)"
-# Bounded fig3 run well past the test-suite scale: the full accelerated
-# configuration must agree byte-for-byte with the default kernel.
+echo "==> mining smoke at scale 0.2 (parallel vs sequential DFS)"
+# Bounded fig3 run well past the test-suite scale: the parallel DFS must
+# agree byte-for-byte with the default sequential one.
 cargo run --release -q -p cuisine-bench --bin exp_fig3 -- \
-    --scale 0.2 --seed 11 --miner declat --mine-threads 4 \
-    --csv /tmp/cuisine-fig3-declat.csv
+    --scale 0.2 --seed 11 --mine-threads 4 \
+    --csv /tmp/cuisine-fig3-parallel.csv
 cargo run --release -q -p cuisine-bench --bin exp_fig3 -- \
     --scale 0.2 --seed 11 \
     --csv /tmp/cuisine-fig3-default.csv
-if ! cmp -s /tmp/cuisine-fig3-declat.csv /tmp/cuisine-fig3-default.csv; then
-    echo "FAIL: declat fig3 output diverged from the default kernel"; exit 1
+if ! cmp -s /tmp/cuisine-fig3-parallel.csv /tmp/cuisine-fig3-default.csv; then
+    echo "FAIL: 4-thread DFS fig3 output diverged from the sequential DFS"; exit 1
 fi
 
 echo "==> serve --self-check (smoke test)"
@@ -189,6 +183,12 @@ echo "==> serve concurrency + chaos suites under the debug lock-order witness"
 # a green run here is a dynamic proof of the same table C1 enforces.
 cargo test -q -p cuisine-serve --test concurrency
 cargo test -q -p cuisine-serve --test chaos
+
+echo "==> repository benchmark smoke (builds benchmark/ against the crates)"
+# benchmark/ compiles against PipelineConfig, EvaluationConfig, MineOpts and
+# CombinationAnalysis::mine_opts by path, so an API change that breaks it
+# must fail here. The smoke runs all four workloads at scale 0.02 (~1 min).
+bash benchmark/run.sh --smoke
 
 if [[ -z "${SKIP_CLIPPY:-}" ]]; then
     echo "==> cargo clippy --all-targets -- -D warnings"

@@ -34,18 +34,8 @@ impl RankFrequencyAnalysis {
         lexicon: &Lexicon,
         mode: ItemMode,
         min_support: f64,
-        miner: Miner,
     ) -> Self {
-        Self::measure_with(
-            corpus,
-            lexicon,
-            mode,
-            min_support,
-            miner,
-            MineOpts::default(),
-            Some(1),
-            None,
-        )
+        Self::measure_with(corpus, lexicon, mode, min_support, MineOpts::default(), Some(1), None)
     }
 
     /// [`RankFrequencyAnalysis::measure`] with explicit parallelism, kernel
@@ -58,13 +48,11 @@ impl RankFrequencyAnalysis {
     /// forced sequential (the nested-parallelism convention: the cores are
     /// already saturated). Output is identical for every `threads`/`mining`
     /// value and for cache on vs off.
-    #[allow(clippy::too_many_arguments)]
     pub fn measure_with(
         corpus: &Corpus,
         lexicon: &Lexicon,
         mode: ItemMode,
         min_support: f64,
-        miner: Miner,
         mining: MineOpts,
         threads: Option<usize>,
         cache: Option<&TransactionCache>,
@@ -85,17 +73,18 @@ impl RankFrequencyAnalysis {
         // per-cuisine jobs instead of serially after them.
         let n = populated.len();
         let outer = cuisine_exec::resolve_threads(threads, n + 1);
-        let mining = if outer > 1 { MineOpts { threads: Some(1), ..mining } } else { mining };
+        let mining = if outer > 1 { MineOpts { threads: Some(1) } } else { mining };
         let mut slots = cuisine_exec::par_map_range(n + 1, threads, |i| {
             if i < n {
                 let cuisine = populated[i];
                 let ts = source.cuisine(corpus, cuisine, mode, lexicon);
-                let analysis = CombinationAnalysis::mine_opts(&ts, min_support, miner, mining);
+                let analysis =
+                    CombinationAnalysis::mine_opts(&ts, min_support, Miner::DEclat, mining);
                 Job::Cuisine(cuisine.code().to_string(), analysis.rank_frequency())
             } else {
                 let pooled = source.pooled(corpus, mode, lexicon);
                 Job::Aggregate(
-                    CombinationAnalysis::mine_opts(&pooled, min_support, miner, mining)
+                    CombinationAnalysis::mine_opts(&pooled, min_support, Miner::DEclat, mining)
                         .rank_frequency(),
                 )
             }
@@ -119,9 +108,9 @@ impl RankFrequencyAnalysis {
         RankFrequencyAnalysis { mode, min_support, codes, curves, aggregate }
     }
 
-    /// Mine with the paper's 5% threshold and default miner.
+    /// Mine with the paper's 5% threshold.
     pub fn paper(corpus: &Corpus, lexicon: &Lexicon, mode: ItemMode) -> Self {
-        Self::measure(corpus, lexicon, mode, cuisine_mining::PAPER_MIN_SUPPORT, Miner::default())
+        Self::measure(corpus, lexicon, mode, cuisine_mining::PAPER_MIN_SUPPORT)
     }
 
     /// Curve of one cuisine by region code.

@@ -19,7 +19,7 @@ use std::hint::black_box;
 
 use cuisine_bench::bench_corpus;
 use cuisine_lexicon::Lexicon;
-use cuisine_mining::{ItemMode, MineOpts, Miner, TransactionCache, PAPER_MIN_SUPPORT};
+use cuisine_mining::{ItemMode, MineOpts, TransactionCache, PAPER_MIN_SUPPORT};
 use cuisine_analytics::RankFrequencyAnalysis;
 
 fn measure(threads: Option<usize>, cache: Option<&TransactionCache>) -> RankFrequencyAnalysis {
@@ -28,7 +28,6 @@ fn measure(threads: Option<usize>, cache: Option<&TransactionCache>) -> RankFreq
         Lexicon::standard(),
         ItemMode::Ingredients,
         PAPER_MIN_SUPPORT,
-        Miner::default(),
         MineOpts::default(),
         threads,
         cache,

@@ -12,7 +12,7 @@ use cuisine_evolution::{
     ModelParams,
 };
 use cuisine_lexicon::Lexicon;
-use cuisine_mining::{CombinationAnalysis, ItemMode, Miner, TransactionSet};
+use cuisine_mining::{CombinationAnalysis, ItemMode, TransactionSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,8 +46,7 @@ fn bench_fig4(c: &mut Criterion) {
 
     // Full per-cuisine evaluation: ensemble + mining + aggregation + Eq. 2.
     let ts = TransactionSet::from_cuisine(corpus, ita, ItemMode::Ingredients, lexicon);
-    let empirical =
-        CombinationAnalysis::mine(&ts, 0.05, Miner::default()).rank_frequency();
+    let empirical = CombinationAnalysis::mine(&ts, 0.05).rank_frequency();
     let config = EvaluationConfig {
         ensemble: EnsembleConfig { replicates: 10, seed: 7, threads: None },
         ..Default::default()

@@ -26,14 +26,9 @@ use cuisine_stats::RankFrequency;
 /// Cuisines used for the sweeps: one large, one mid, one small.
 const SWEEP_CUISINES: [&str; 3] = ["ITA", "GRC", "KOR"];
 
-fn empirical_curve(
-    corpus: &Corpus,
-    cuisine: CuisineId,
-    lexicon: &Lexicon,
-    miner: Miner,
-) -> RankFrequency {
+fn empirical_curve(corpus: &Corpus, cuisine: CuisineId, lexicon: &Lexicon) -> RankFrequency {
     let ts = TransactionSet::from_cuisine(corpus, cuisine, ItemMode::Ingredients, lexicon);
-    CombinationAnalysis::mine(&ts, PAPER_MIN_SUPPORT, miner).rank_frequency()
+    CombinationAnalysis::mine(&ts, PAPER_MIN_SUPPORT).rank_frequency()
 }
 
 fn main() {
@@ -51,14 +46,13 @@ fn main() {
     let corpus = exp.corpus();
     let config = EvaluationConfig {
         ensemble: EnsembleConfig { replicates, seed: opts.seed, threads: opts.threads },
-        miner: opts.miner,
         ..Default::default()
     };
 
     let eval_with = |cuisine: &str, kind: ModelKind, params: &ModelParams| -> f64 {
         let c: CuisineId = cuisine.parse().expect("known code");
         let setup = CuisineSetup::from_corpus(corpus, c).expect("populated");
-        let empirical = empirical_curve(corpus, c, lexicon, opts.miner);
+        let empirical = empirical_curve(corpus, c, lexicon);
         evaluate_model_on_cuisine(kind, params, &setup, &empirical, lexicon, &config)
             .distance
             .unwrap_or(f64::NAN)
@@ -139,7 +133,7 @@ fn main() {
     println!("== ablation 4: replicate-count convergence (CM-R, ITA) ==\n");
     let ita: CuisineId = "ITA".parse().unwrap();
     let setup = CuisineSetup::from_corpus(corpus, ita).unwrap();
-    let empirical = empirical_curve(corpus, ita, lexicon, opts.miner);
+    let empirical = empirical_curve(corpus, ita, lexicon);
     let mut t = Table::new(&["replicates", "Eq.2 distance"]).with_aligns(&[
         Align::Right,
         Align::Right,
@@ -147,7 +141,6 @@ fn main() {
     for r in [1usize, 5, 10, 25, 50, 100] {
         let cfg = EvaluationConfig {
             ensemble: EnsembleConfig { replicates: r, seed: opts.seed, threads: opts.threads },
-            miner: opts.miner,
             ..Default::default()
         };
         let d = evaluate_model_on_cuisine(
@@ -184,10 +177,9 @@ fn main() {
         let mut dist_sum = 0.0;
         let mut dist_n = 0usize;
         for (setup, pool) in setups.iter().zip(&pools) {
-            let emp = empirical_curve(corpus, setup.cuisine, lexicon, opts.miner);
+            let emp = empirical_curve(corpus, setup.cuisine, lexicon);
             let ts = TransactionSet::from_recipes(pool.iter(), ItemMode::Ingredients, lexicon);
-            let curve = CombinationAnalysis::mine(&ts, PAPER_MIN_SUPPORT, opts.miner)
-                .rank_frequency();
+            let curve = CombinationAnalysis::mine(&ts, PAPER_MIN_SUPPORT).rank_frequency();
             if let Some(d) = cuisine_stats::curve_distance(
                 emp.frequencies(),
                 curve.frequencies(),

@@ -46,15 +46,9 @@ pub struct ExpOptions {
     pub threads: Option<usize>,
     /// Disable the encoded-transaction cache (`--no-cache`).
     pub no_cache: bool,
-    /// Frequent-itemset mining kernel (`--miner
-    /// fpgrowth|apriori|eclat|eclat-bitset|declat`). All kernels produce
-    /// identical artifacts; this is a performance knob.
-    pub miner: Miner,
     /// Kernel-level DFS threads (`--mine-threads N`; default sequential —
     /// the per-cuisine fan-out above usually owns the cores).
     pub mine_threads: Option<usize>,
-    /// Disable support-ascending item reordering (`--no-reorder`).
-    pub no_reorder: bool,
     /// Optional CSV output path.
     pub csv: Option<String>,
     /// Extra boolean flags (e.g. `--categories`).
@@ -69,9 +63,7 @@ impl Default for ExpOptions {
             replicates: 100,
             threads: None,
             no_cache: false,
-            miner: Miner::default(),
             mine_threads: MineOpts::default().threads,
-            no_reorder: false,
             csv: None,
             flags: Vec::new(),
         }
@@ -98,7 +90,7 @@ impl std::error::Error for CliError {}
 impl ExpOptions {
     /// Parse from a `std::env::args()`-style iterator (first element is
     /// the program name). Recognized: `--scale F`, `--seed N`,
-    /// `--replicates N`, `--threads N`, `--no-cache`, `--miner KIND`,
+    /// `--replicates N`, `--threads N`, `--no-cache`, `--mine-threads N`,
     /// `--csv PATH`; anything else starting with `--` is collected into
     /// `flags`.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
@@ -145,9 +137,6 @@ impl ExpOptions {
                     );
                 }
                 "--no-cache" => opts.no_cache = true,
-                "--miner" => {
-                    opts.miner = value_of("--miner")?.parse().map_err(CliError)?;
-                }
                 "--mine-threads" => {
                     opts.mine_threads = Some(
                         value_of("--mine-threads")?
@@ -155,7 +144,6 @@ impl ExpOptions {
                             .map_err(|_| CliError("--mine-threads takes an integer".into()))?,
                     );
                 }
-                "--no-reorder" => opts.no_reorder = true,
                 "--csv" => opts.csv = Some(value_of("--csv")?),
                 other if valued.contains(&other) => {
                     let value = value_of(other)?;
@@ -198,19 +186,18 @@ impl ExpOptions {
     }
 
     /// The kernel execution options implied by these options
-    /// (`--mine-threads N`, `--no-reorder`).
+    /// (`--mine-threads N`).
     pub fn mine_opts(&self) -> MineOpts {
-        MineOpts { threads: self.mine_threads, reorder: !self.no_reorder }
+        MineOpts { threads: self.mine_threads }
     }
 
     /// The pipeline execution config implied by these options
-    /// (`--threads N`, `--no-cache`, `--miner KIND`, `--mine-threads N`,
-    /// `--no-reorder`).
+    /// (`--threads N`, `--no-cache`, `--mine-threads N`).
     pub fn pipeline_config(&self) -> PipelineConfig {
         PipelineConfig {
             threads: self.threads,
             cache: !self.no_cache,
-            miner: self.miner,
+            miner: Miner::DEclat,
             mining: self.mine_opts(),
         }
     }
@@ -227,8 +214,7 @@ pub fn exit_usage(error: &CliError, usage: &str) -> ! {
 /// The CLI options shared by every `exp_*` binary, for usage strings.
 pub const COMMON_USAGE: &str =
     "[--scale F] [--seed N] [--replicates N] [--threads N] [--no-cache] \
-     [--miner fpgrowth|apriori|eclat|eclat-bitset|declat] [--mine-threads N] \
-     [--no-reorder] [--csv PATH]";
+     [--mine-threads N] [--csv PATH]";
 
 #[cfg(test)]
 mod tests {
@@ -276,7 +262,7 @@ mod tests {
             PipelineConfig {
                 threads: Some(4),
                 cache: false,
-                miner: Miner::default(),
+                miner: Miner::DEclat,
                 mining: MineOpts::default(),
             }
         );
@@ -287,26 +273,14 @@ mod tests {
 
     #[test]
     fn parses_kernel_option_knobs() {
-        let o = ExpOptions::try_parse(args(&["--mine-threads", "4", "--no-reorder"])).unwrap();
-        assert_eq!(o.mine_opts(), MineOpts { threads: Some(4), reorder: false });
+        let o = ExpOptions::try_parse(args(&["--mine-threads", "4"])).unwrap();
+        assert_eq!(o.mine_opts(), MineOpts { threads: Some(4) });
         assert_eq!(o.pipeline_config().mining, o.mine_opts());
-        // Defaults: sequential kernel DFS, reordering on.
+        // Defaults: sequential kernel DFS.
         let d = ExpOptions::try_parse(args(&[])).unwrap();
         assert_eq!(d.mine_opts(), MineOpts::default());
         let e = ExpOptions::try_parse(args(&["--mine-threads", "many"])).unwrap_err();
         assert!(e.0.contains("--mine-threads takes an integer"), "{e}");
-    }
-
-    #[test]
-    fn parses_miner_selection() {
-        let o = ExpOptions::try_parse(args(&["--miner", "eclat-bitset"])).unwrap();
-        assert_eq!(o.miner, Miner::EclatBitset);
-        assert_eq!(o.pipeline_config().miner, Miner::EclatBitset);
-        assert_eq!(ExpOptions::try_parse(args(&[])).unwrap().miner, Miner::FpGrowth);
-        let e = ExpOptions::try_parse(args(&["--miner", "quantum"])).unwrap_err();
-        assert!(e.0.contains("unknown miner"), "{e}");
-        let e = ExpOptions::try_parse(args(&["--miner"])).unwrap_err();
-        assert!(e.0.contains("--miner requires a value"), "{e}");
     }
 
     #[test]

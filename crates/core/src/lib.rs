@@ -12,8 +12,8 @@
 //!   ([`cuisine_data`]);
 //! - a calibrated synthetic corpus generator standing in for the paper's
 //!   non-redistributable 158k-recipe scrape ([`cuisine_synth`]);
-//! - frequent-itemset mining (Apriori + FP-Growth) for the combination
-//!   analyses ([`cuisine_mining`]);
+//! - frequent-itemset mining (dEclat, checked against an Apriori oracle)
+//!   for the combination analyses ([`cuisine_mining`]);
 //! - the paper's statistics: Eq. 1 overrepresentation, size distributions,
 //!   category profiles, rank-frequency curves, Eq. 2 similarity
 //!   ([`cuisine_analytics`], [`cuisine_stats`]);
@@ -62,7 +62,7 @@ pub mod prelude {
     };
     pub use cuisine_lexicon::{Category, IngredientId, Lexicon};
     pub use cuisine_mining::{
-        CombinationAnalysis, ItemMode, MineOpts, Miner, TransactionCache, TransactionSet,
+        CombinationAnalysis, ItemMode, MineOpts, TransactionCache, TransactionSet,
     };
     pub use cuisine_stats::{ErrorMetric, RankFrequency};
     pub use cuisine_synth::{generate_corpus, SynthConfig};

@@ -32,13 +32,10 @@ use cuisine_synth::{generate_corpus, SynthConfig};
 /// order is stable, all randomness is seeded from logical indices, and the
 /// cache memoizes deterministic encodings — so `threads: Some(1)` vs
 /// `Some(32)` and cache on vs off produce byte-identical artifacts (this
-/// is enforced by `tests/determinism.rs`). The `miner` knob selects the
-/// frequent-itemset kernel; all miners produce identical output (pinned by
-/// property tests and the determinism suite), so it too is purely a
-/// performance choice — as are the kernel-internal `mining` options
-/// (support-ascending reordering, DFS-level parallelism), which follow
-/// the nested-parallelism convention: the kernel fan-out is forced
-/// sequential whenever the per-cuisine fan-out above it is already
+/// is enforced by `tests/determinism.rs`). The kernel-internal `mining`
+/// options (DFS-level parallelism) are purely a performance choice too,
+/// and follow the nested-parallelism convention: the kernel fan-out is
+/// forced sequential whenever the per-cuisine fan-out above it is already
 /// parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
@@ -46,9 +43,10 @@ pub struct PipelineConfig {
     pub threads: Option<usize>,
     /// Memoize `(cuisine, mode)` transaction encodings across stages.
     pub cache: bool,
-    /// Frequent-itemset mining kernel used by fig3/fig4.
+    /// The mining kernel; always [`Miner::DEclat`]. Kept only because the
+    /// repository benchmark reads it.
     pub miner: Miner,
-    /// Kernel-internal execution options (reordering, DFS threads).
+    /// Kernel-internal execution options (DFS threads).
     pub mining: MineOpts,
 }
 
@@ -157,7 +155,6 @@ impl Experiment {
             self.lexicon,
             mode,
             PAPER_MIN_SUPPORT,
-            self.config.miner,
             self.config.mining,
             self.config.threads,
             self.cache(),
@@ -175,13 +172,11 @@ impl Experiment {
 
     /// Like [`Experiment::fig4`] but for a model subset.
     ///
-    /// The pipeline-level [`PipelineConfig::miner`] knob overrides the
-    /// per-call [`EvaluationConfig::miner`], so one `--miner` flag selects
-    /// the kernel everywhere; callers driving `evaluate_with` directly
-    /// keep full control.
+    /// The pipeline-level [`PipelineConfig::mining`] options override the
+    /// per-call [`EvaluationConfig::mining`]; callers driving
+    /// `evaluate_with` directly keep full control.
     pub fn fig4_models(&self, models: &[ModelKind], config: &EvaluationConfig) -> Evaluation {
         let config = EvaluationConfig {
-            miner: self.config.miner,
             mining: self.config.mining,
             ..config.clone()
         };

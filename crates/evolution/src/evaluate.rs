@@ -32,10 +32,11 @@ pub struct EvaluationConfig {
     pub min_support: f64,
     /// Distance metric (paper: Eq. 2, i.e. [`ErrorMetric::PaperMae`]).
     pub metric: ErrorMetric,
-    /// Mining algorithm.
+    /// The mining kernel; always [`Miner::DEclat`]. Kept only because the
+    /// repository benchmark reads it.
     pub miner: Miner,
-    /// Kernel-internal execution options (reordering, DFS threads). Like
-    /// `miner`, value-neutral: no option changes any output byte.
+    /// Kernel-internal execution options (DFS threads). Value-neutral: no
+    /// option changes any output byte.
     pub mining: MineOpts,
 }
 
@@ -157,7 +158,7 @@ pub fn evaluate_model_on_cuisine(
         config.ensemble.replicates,
     ) > 1
     {
-        MineOpts { threads: Some(1), ..config.mining }
+        MineOpts { threads: Some(1) }
     } else {
         config.mining
     };
@@ -216,7 +217,7 @@ pub fn evaluate_with(
     // fan-out is actually parallel (the nested-parallelism convention).
     let stage1_outer = cuisine_exec::resolve_threads(threads, all.len());
     let stage1_mining = if stage1_outer > 1 {
-        MineOpts { threads: Some(1), ..config.mining }
+        MineOpts { threads: Some(1) }
     } else {
         config.mining
     };
@@ -250,7 +251,7 @@ pub fn evaluate_with(
             ..config.ensemble
         },
         mining: if outer > 1 {
-            MineOpts { threads: Some(1), ..config.mining }
+            MineOpts { threads: Some(1) }
         } else {
             config.mining
         },

@@ -44,7 +44,7 @@ pub struct FileContext {
 }
 
 impl FileContext {
-    /// Classify a repo-relative path (`crates/mining/src/eclat.rs`).
+    /// Classify a repo-relative path (`crates/mining/src/diffset.rs`).
     pub fn classify(rel_path: &str) -> Self {
         let rel_path = rel_path.replace('\\', "/");
         let parts: Vec<&str> = rel_path.split('/').collect();
@@ -223,10 +223,10 @@ mod tests {
 
     #[test]
     fn classification_covers_the_workspace_layout() {
-        let c = ctx("crates/mining/src/eclat.rs");
+        let c = ctx("crates/mining/src/diffset.rs");
         assert_eq!(c.krate.as_deref(), Some("mining"));
         assert_eq!(c.section, Section::Src);
-        assert_eq!(c.file_name, "eclat.rs");
+        assert_eq!(c.file_name, "diffset.rs");
 
         assert_eq!(ctx("crates/serve/src/bin/serve.rs").section, Section::Bin);
         assert_eq!(ctx("crates/serve/tests/http_properties.rs").section, Section::Tests);

@@ -110,14 +110,13 @@ fn d1_scopes_to_artifact_crates_only() {
 
 #[test]
 fn d1_covers_the_bitmap_kernel_sources() {
-    // The PR-5 mining files sit in `crates/mining/src/` and therefore
-    // inherit D1 coverage by path, not by an allowlist — pin that here so
-    // a future re-scoping of the rule cannot silently drop them.
+    // The bitmap kernel source sits in `crates/mining/src/` and therefore
+    // inherits D1 coverage by path, not by an allowlist — pin that here so
+    // a future re-scoping of the rule cannot silently drop it.
     let src = "use std::collections::HashMap;\n\
                fn f(m: HashMap<u32, u64>) -> usize { m.iter().count() }";
-    for file in ["crates/mining/src/bitmap.rs", "crates/mining/src/eclat_bitset.rs"] {
-        assert!(fired(file, src).contains(&"D1"), "{file} must be in D1 scope");
-    }
+    let file = "crates/mining/src/bitmap.rs";
+    assert!(fired(file, src).contains(&"D1"), "{file} must be in D1 scope");
 }
 
 #[test]

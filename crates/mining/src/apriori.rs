@@ -4,6 +4,9 @@
 //! on; every candidate's `(k-1)`-subsets must be frequent (the Apriori
 //! property). Transactions are sorted item lists, so candidate containment
 //! is a linear merge.
+//!
+//! This is the reference oracle: tests compare the dEclat kernel against
+//! it, and no production path calls it.
 
 use std::collections::{BTreeMap, HashSet};
 

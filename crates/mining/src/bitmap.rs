@@ -1,8 +1,8 @@
-//! Vertical tid bitmaps: the dense representation behind
-//! [`crate::eclat_bitset::mine_eclat_bitset`].
+//! Vertical tid bitmaps: the dense representation behind the dEclat
+//! kernel's tid-sets ([`crate::diffset`]).
 //!
 //! A [`TidBitmap`] packs a set of transaction ids into `Vec<u64>` words.
-//! Support counting — the inner loop of Eclat — becomes a word-wise AND
+//! Support counting — the inner loop of vertical mining — becomes a word-wise AND
 //! plus `count_ones`, processing 64 tids per instruction instead of one
 //! comparison per element. [`TidBitmap::and_count`] counts an
 //! intersection *without materializing it*, so infrequent candidate

@@ -8,11 +8,7 @@
 use cuisine_stats::RankFrequency;
 use serde::{Deserialize, Serialize};
 
-use crate::apriori::mine_apriori;
 use crate::diffset::mine_declat_with;
-use crate::eclat::mine_eclat_with;
-use crate::eclat_bitset::mine_eclat_bitset_with;
-use crate::fpgrowth::mine_fpgrowth;
 use crate::itemset::FrequentItemset;
 use crate::transaction::TransactionSet;
 use crate::MineOpts;
@@ -20,66 +16,15 @@ use crate::MineOpts;
 /// The paper's support threshold: 5% of all recipes in a cuisine.
 pub const PAPER_MIN_SUPPORT: f64 = 0.05;
 
-/// Which mining algorithm to run. All five produce identical output
-/// (pinned by property tests); they differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+/// The mining kernel. dEclat is the only one; this type stays only
+/// because the repository benchmark (`benchmark/src/trace.rs`) passes
+/// `PipelineConfig::miner` / `EvaluationConfig::miner` into
+/// [`CombinationAnalysis::mine_opts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Miner {
-    /// FP-Growth (default: faster on these workloads).
+    /// dEclat ([`crate::diffset`]).
     #[default]
-    FpGrowth,
-    /// Apriori (reference implementation, used for cross-checks).
-    Apriori,
-    /// Eclat (vertical tid-lists).
-    Eclat,
-    /// Eclat over tid *bitmaps* with popcount support counting and a
-    /// density fallback to sorted lists — fast on dense cuisines.
-    EclatBitset,
-    /// dEclat: DFS nodes store *diffsets* against their parent
-    /// (support = parent support − |diffset|), with a density-based
-    /// tidset/diffset/bitmap switch — the fast kernel on dense
-    /// full-scale workloads.
     DEclat,
-}
-
-impl Miner {
-    /// Every miner, in declaration order (for cross-checks and benches).
-    pub const ALL: [Miner; 5] = [
-        Miner::FpGrowth,
-        Miner::Apriori,
-        Miner::Eclat,
-        Miner::EclatBitset,
-        Miner::DEclat,
-    ];
-
-    /// Stable CLI / JSON label (also accepted by [`FromStr`]).
-    ///
-    /// [`FromStr`]: std::str::FromStr
-    pub fn label(self) -> &'static str {
-        match self {
-            Miner::FpGrowth => "fpgrowth",
-            Miner::Apriori => "apriori",
-            Miner::Eclat => "eclat",
-            Miner::EclatBitset => "eclat-bitset",
-            Miner::DEclat => "declat",
-        }
-    }
-}
-
-impl std::str::FromStr for Miner {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fpgrowth" | "fp-growth" => Ok(Miner::FpGrowth),
-            "apriori" => Ok(Miner::Apriori),
-            "eclat" => Ok(Miner::Eclat),
-            "eclat-bitset" | "eclat_bitset" | "bitset" => Ok(Miner::EclatBitset),
-            "declat" | "d-eclat" | "diffset" => Ok(Miner::DEclat),
-            other => Err(format!(
-                "unknown miner {other:?} (expected fpgrowth|apriori|eclat|eclat-bitset|declat)"
-            )),
-        }
-    }
 }
 
 /// Frequent combinations of a transaction set, with their rank-frequency
@@ -96,21 +41,20 @@ pub struct CombinationAnalysis {
 
 impl CombinationAnalysis {
     /// Mine a transaction set at the given relative support with default
-    /// [`MineOpts`] (sequential, reordered).
+    /// [`MineOpts`] (sequential DFS).
     ///
     /// Returns an analysis with an empty itemset list for an empty
     /// transaction set.
-    pub fn mine(transactions: &TransactionSet, min_support: f64, miner: Miner) -> Self {
-        Self::mine_opts(transactions, min_support, miner, MineOpts::default())
+    pub fn mine(transactions: &TransactionSet, min_support: f64) -> Self {
+        Self::mine_opts(transactions, min_support, Miner::DEclat, MineOpts::default())
     }
 
     /// [`CombinationAnalysis::mine`] with explicit kernel execution
-    /// options. The horizontal miners (FP-Growth, Apriori) ignore `opts`;
-    /// no option changes any output byte.
+    /// options; no option changes any output byte.
     pub fn mine_opts(
         transactions: &TransactionSet,
         min_support: f64,
-        miner: Miner,
+        Miner::DEclat: Miner,
         opts: MineOpts,
     ) -> Self {
         if transactions.is_empty() {
@@ -121,23 +65,16 @@ impl CombinationAnalysis {
             };
         }
         let abs = transactions.absolute_support(min_support).max(1);
-        let itemsets = match miner {
-            Miner::FpGrowth => mine_fpgrowth(transactions, abs),
-            Miner::Apriori => mine_apriori(transactions, abs),
-            Miner::Eclat => mine_eclat_with(transactions, abs, opts),
-            Miner::EclatBitset => mine_eclat_bitset_with(transactions, abs, opts),
-            Miner::DEclat => mine_declat_with(transactions, abs, opts),
-        };
         CombinationAnalysis {
-            itemsets,
+            itemsets: mine_declat_with(transactions, abs, opts),
             transaction_count: transactions.len(),
             min_support,
         }
     }
 
-    /// Mine with the paper's 5% threshold and the default miner.
+    /// Mine with the paper's 5% threshold.
     pub fn paper(transactions: &TransactionSet) -> Self {
-        Self::mine(transactions, PAPER_MIN_SUPPORT, Miner::default())
+        Self::mine(transactions, PAPER_MIN_SUPPORT)
     }
 
     /// The rank-frequency curve: combination supports normalized by the
@@ -171,6 +108,7 @@ impl CombinationAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apriori::mine_apriori;
     use crate::transaction::ItemMode;
 
     fn ts(raw: Vec<Vec<u32>>) -> TransactionSet {
@@ -183,7 +121,7 @@ mod tests {
         // item 3 in none of the required count.
         let mut raw = vec![vec![1u32]; 19];
         raw.push(vec![1, 2]);
-        let analysis = CombinationAnalysis::mine(&ts(raw), 0.05, Miner::FpGrowth);
+        let analysis = CombinationAnalysis::mine(&ts(raw), 0.05);
         let names: Vec<&[u32]> =
             analysis.itemsets.iter().map(|f| f.items.as_slice()).collect();
         assert!(names.contains(&&[1u32][..]));
@@ -194,7 +132,7 @@ mod tests {
     #[test]
     fn rank_frequency_is_normalized_and_sorted() {
         let raw = vec![vec![1, 2], vec![1], vec![1, 2], vec![3]];
-        let analysis = CombinationAnalysis::mine(&ts(raw), 0.25, Miner::Apriori);
+        let analysis = CombinationAnalysis::mine(&ts(raw), 0.25);
         let rf = analysis.rank_frequency();
         assert!(rf.at_rank(1).unwrap() <= 1.0);
         assert_eq!(rf.at_rank(1).unwrap(), 0.75, "item 1 in 3 of 4");
@@ -213,22 +151,11 @@ mod tests {
             vec![1, 2, 3, 4],
         ];
         let t = ts(raw);
-        let a = CombinationAnalysis::mine(&t, 0.3, Miner::Apriori);
-        for miner in Miner::ALL {
-            assert_eq!(a.itemsets, CombinationAnalysis::mine(&t, 0.3, miner).itemsets, "{miner:?}");
-            let opts = MineOpts { threads: Some(2), reorder: false };
-            let with = CombinationAnalysis::mine_opts(&t, 0.3, miner, opts);
-            assert_eq!(a.itemsets, with.itemsets, "{miner:?} with {opts:?}");
-        }
-    }
-
-    #[test]
-    fn labels_roundtrip_through_fromstr() {
-        for miner in Miner::ALL {
-            assert_eq!(miner.label().parse::<Miner>(), Ok(miner));
-        }
-        assert_eq!("bitset".parse::<Miner>(), Ok(Miner::EclatBitset));
-        assert!("quantum".parse::<Miner>().is_err());
+        let reference = mine_apriori(&t, t.absolute_support(0.3));
+        assert_eq!(reference, CombinationAnalysis::mine(&t, 0.3).itemsets);
+        let opts = MineOpts { threads: Some(2) };
+        let with = CombinationAnalysis::mine_opts(&t, 0.3, Miner::DEclat, opts);
+        assert_eq!(reference, with.itemsets, "{opts:?}");
     }
 
     #[test]
@@ -242,7 +169,7 @@ mod tests {
     #[test]
     fn max_size_reports_largest_combo() {
         let raw = vec![vec![1, 2, 3]; 10];
-        let analysis = CombinationAnalysis::mine(&ts(raw), 0.5, Miner::FpGrowth);
+        let analysis = CombinationAnalysis::mine(&ts(raw), 0.5);
         assert_eq!(analysis.max_size(), 3);
     }
 }

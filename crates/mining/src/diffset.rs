@@ -11,9 +11,8 @@
 //!
 //! # Representation switch
 //!
-//! Mirroring the bitmap/sparse hybrid in [`crate::eclat_bitset`], every
-//! node picks the cheapest of three representations, sized in the units
-//! one intersection pass touches:
+//! Every node picks the cheapest of three representations, sized in the
+//! units one intersection pass touches:
 //!
 //! - dense tid **bitmap** — `ceil(universe/64)` words (chosen only while
 //!   the cardinality is at least the word count, density ≥ 1/64),
@@ -40,11 +39,11 @@
 //!
 //! # Determinism
 //!
-//! Output is byte-identical to the other four miners (pinned by the
-//! quintisecting property tests): representations change *how* a support
-//! is computed, never its value, and the [`canonical_sort`] /
-//! [`ItemReorder`] / [`mine_classes`] front-end is shared with the other
-//! vertical kernels.
+//! Output is byte-identical to the reference Apriori miner (pinned by the
+//! property tests): representations change *how* a support is computed,
+//! never its value; [`ItemReorder`] is undone before the total
+//! [`canonical_sort`]; and [`mine_classes`] merges per-class results in
+//! class order whatever the thread count.
 
 use std::collections::BTreeMap;
 
@@ -74,8 +73,8 @@ struct Node {
 }
 
 /// Storage cost of a materialized tid-set of cardinality `support`: a
-/// sorted list, unless the bitmap (word count) is no larger — the same
-/// density rule as `eclat_bitset`.
+/// sorted list, unless the bitmap (word count) is no larger (density
+/// ≥ 1/64).
 fn tid_cost(support: u64, universe: usize) -> usize {
     (support as usize).min(universe.div_ceil(64))
 }
@@ -90,8 +89,8 @@ fn tidset(tids: Vec<u32>, universe: usize) -> Rep {
 }
 
 /// Mine all itemsets with support count ≥ `min_support_count` using the
-/// dEclat kernel with default options (sequential, reordered). Output is
-/// identical to the other miners.
+/// dEclat kernel with default options (sequential DFS). Output is
+/// identical to [`crate::apriori::mine_apriori`].
 pub fn mine_declat(
     transactions: &TransactionSet,
     min_support_count: u64,
@@ -99,7 +98,7 @@ pub fn mine_declat(
     mine_declat_with(transactions, min_support_count, MineOpts::default())
 }
 
-/// [`mine_declat`] with explicit reordering/parallelism options.
+/// [`mine_declat`] with explicit DFS parallelism options.
 pub fn mine_declat_with(
     transactions: &TransactionSet,
     min_support_count: u64,
@@ -132,19 +131,11 @@ pub fn mine_declat_with(
         })
         .collect();
 
-    let mine = |roots: &[(u32, Node)]| {
-        mine_classes(roots, opts.threads, |i, class, out| {
-            expand(&[], i, class, min_support_count, universe, out)
-        })
-    };
-    let mut out = if opts.reorder {
-        let (roots, reorder) = ItemReorder::relabel(roots, |node| node.support);
-        let mut out = mine(&roots);
-        reorder.decode(&mut out);
-        out
-    } else {
-        mine(&roots)
-    };
+    let (roots, reorder) = ItemReorder::relabel(roots, |node| node.support);
+    let mut out = mine_classes(&roots, opts.threads, |i, class, out| {
+        expand(&[], i, class, min_support_count, universe, out)
+    });
+    reorder.decode(&mut out);
     canonical_sort(&mut out);
     out
 }
@@ -160,8 +151,8 @@ fn expand(
     out: &mut Vec<FrequentItemset>,
 ) {
     let (item, node) = &class[i];
-    // Classes stay in ascending id order, so appending preserves
-    // sortedness (in rank space when reordered, item space otherwise).
+    // Classes stay in ascending rank order, so appending preserves
+    // sortedness in rank space.
     debug_assert!(prefix.last().is_none_or(|&last| last < *item));
     let mut items: Itemset = prefix.to_vec();
     items.push(*item);
@@ -373,21 +364,17 @@ fn complement(tids: &[u32], universe: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eclat::mine_eclat;
+    use crate::apriori::mine_apriori;
     use crate::transaction::ItemMode;
 
     fn ts(raw: Vec<Vec<u32>>) -> TransactionSet {
         TransactionSet::from_raw(raw, ItemMode::Ingredients)
     }
 
-    fn agrees_with_eclat(t: &TransactionSet, min_support: u64) -> Vec<FrequentItemset> {
+    fn agrees_with_apriori(t: &TransactionSet, min_support: u64) -> Vec<FrequentItemset> {
         let declat = mine_declat(t, min_support);
-        assert_eq!(declat, mine_eclat(t, min_support));
-        for opts in [
-            MineOpts { threads: Some(1), reorder: false },
-            MineOpts { threads: Some(4), reorder: true },
-            MineOpts { threads: None, reorder: false },
-        ] {
+        assert_eq!(declat, mine_apriori(t, min_support));
+        for opts in [MineOpts { threads: Some(4) }, MineOpts { threads: None }] {
             assert_eq!(declat, mine_declat_with(t, min_support, opts), "{opts:?}");
         }
         declat
@@ -418,14 +405,14 @@ mod tests {
     }
 
     #[test]
-    fn textbook_example_matches_eclat() {
+    fn textbook_example_matches_apriori() {
         let t = ts(vec![
             vec![1, 3, 4],
             vec![2, 3, 5],
             vec![1, 2, 3, 5],
             vec![2, 5],
         ]);
-        assert_eq!(agrees_with_eclat(&t, 2).len(), 9);
+        assert_eq!(agrees_with_apriori(&t, 2).len(), 9);
     }
 
     #[test]
@@ -433,7 +420,7 @@ mod tests {
         // Two items in exactly the same transactions: the child diffset is
         // empty and support equals the parent's.
         let t = ts(vec![vec![1, 2], vec![1, 2], vec![1, 2], vec![3]]);
-        let got = agrees_with_eclat(&t, 2);
+        let got = agrees_with_apriori(&t, 2);
         let pair = got.iter().find(|f| f.items == vec![1, 2]).expect("pair mined");
         let single = got.iter().find(|f| f.items == vec![1]).expect("single mined");
         assert_eq!(pair.support_count, single.support_count, "empty diffset");
@@ -446,7 +433,7 @@ mod tests {
         let mut raw = vec![vec![1u32, 2]; 130];
         raw[64].push(3);
         let t = ts(raw);
-        let got = agrees_with_eclat(&t, 1);
+        let got = agrees_with_apriori(&t, 1);
         assert!(got.iter().any(|f| f.items == vec![1, 2, 3] && f.support_count == 1));
     }
 
@@ -458,13 +445,13 @@ mod tests {
             raw[(item as usize * 5 + 7) % 200].push(item);
         }
         let t = ts(raw);
-        assert!(!agrees_with_eclat(&t, 2).is_empty());
+        assert!(!agrees_with_apriori(&t, 2).is_empty());
     }
 
     #[test]
     fn dense_corpus_round_trips() {
         let t = ts(vec![vec![7, 8, 9]; 130]);
-        let got = agrees_with_eclat(&t, 65);
+        let got = agrees_with_apriori(&t, 65);
         assert_eq!(got.len(), 7);
         assert!(got.iter().all(|f| f.support_count == 130));
     }

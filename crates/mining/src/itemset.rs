@@ -39,7 +39,7 @@ impl FrequentItemset {
     }
 }
 
-/// Canonical ordering for mining results so Apriori and FP-Growth output
+/// Canonical ordering for mining results so dEclat and Apriori output
 /// can be compared directly: descending support, then ascending size, then
 /// lexicographic items.
 pub fn canonical_sort(itemsets: &mut [FrequentItemset]) {

@@ -8,20 +8,15 @@
 //!
 //! - [`transaction`] — recipe → transaction encoding at ingredient or
 //!   category granularity.
-//! - [`apriori`] — the reference Apriori miner.
-//! - [`fpgrowth`] — FP-Growth, the default (candidate-generation-free)
-//!   miner; produces identical output to Apriori.
-//! - [`eclat`] — Eclat (vertical tid-lists), the third cross-checked
-//!   miner.
-//! - [`bitmap`] / [`eclat_bitset`] — Eclat over dense tid *bitmaps* with
-//!   popcount support counting and a density fallback to sorted lists:
-//!   byte-identical output to the other miners.
-//! - [`diffset`] — dEclat: DFS nodes store *diffsets* against their
-//!   parent (support = parent support − |diffset|), the fast kernel on
-//!   dense full-scale workloads.
-//! - [`reorder`] — support-ascending item reordering plus the shared
-//!   parallel-DFS front-end for the vertical kernels; [`MineOpts`] is the
-//!   knob bundle.
+//! - [`diffset`] — dEclat (Zaki & Gouda, 2003), the one production
+//!   kernel: vertical DFS whose nodes store *diffsets* against their
+//!   parent (support = parent support − |diffset|), with a per-node
+//!   tid-list / [`bitmap`] / diffset switch.
+//! - [`reorder`] — support-ascending item reordering plus the parallel
+//!   DFS over first-level equivalence classes; [`MineOpts`] holds the
+//!   DFS thread count.
+//! - [`apriori`] — the reference Apriori miner. Tests compare dEclat
+//!   against it; no production path calls it.
 //! - [`combination`] — the paper's 5%-support combination analysis and its
 //!   rank-frequency curve.
 //! - [`cache`] — per-`(cuisine, mode)` transaction memoization shared by
@@ -34,7 +29,7 @@
 //!     vec![vec![1, 2], vec![1, 2], vec![1, 3], vec![2]],
 //!     ItemMode::Ingredients,
 //! );
-//! let analysis = CombinationAnalysis::mine(&ts, 0.5, Default::default());
+//! let analysis = CombinationAnalysis::mine(&ts, 0.5);
 //! let rf = analysis.rank_frequency();
 //! assert_eq!(rf.at_rank(1), Some(0.75)); // items 1 and 2 each in 3/4
 //! ```
@@ -46,9 +41,6 @@ pub mod bitmap;
 pub mod cache;
 pub mod combination;
 pub mod diffset;
-pub mod eclat;
-pub mod eclat_bitset;
-pub mod fpgrowth;
 pub mod itemset;
 pub mod reorder;
 pub mod transaction;
@@ -57,35 +49,26 @@ pub use apriori::mine_apriori;
 pub use bitmap::TidBitmap;
 pub use cache::{TransactionCache, TransactionSource};
 pub use diffset::{mine_declat, mine_declat_with};
-pub use eclat::{mine_eclat, mine_eclat_with};
-pub use eclat_bitset::{mine_eclat_bitset, mine_eclat_bitset_with};
 pub use combination::{CombinationAnalysis, Miner, PAPER_MIN_SUPPORT};
-pub use fpgrowth::mine_fpgrowth;
 pub use itemset::{FrequentItemset, Itemset};
 pub use transaction::{ItemMode, TransactionSet};
 
-/// Execution knobs for the vertical mining kernels (Eclat, bitmap Eclat,
-/// dEclat). **Neither knob changes a single output byte** — reordering is
-/// undone before the canonical sort and the parallel DFS merges per-class
-/// results in stable class order (both pinned by the property tests and
-/// `tests/determinism.rs`); they are purely performance choices.
-///
-/// The horizontal miners (FP-Growth, Apriori) ignore these options.
+/// Execution options for the dEclat kernel. **No option changes a single
+/// output byte**: the parallel DFS merges per-class results in stable
+/// class order (pinned by the property tests and `tests/determinism.rs`),
+/// so the thread count is purely a performance choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MineOpts {
     /// Worker threads for the first-level equivalence-class fan-out,
     /// following the workspace convention: `None` = available
     /// parallelism, `Some(0)`/`Some(1)` = sequential. Defaults to
-    /// sequential so kernels stay well-behaved under the per-cuisine
-    /// fan-out above them.
+    /// sequential so the kernel stays well-behaved under the per-cuisine
+    /// fan-out above it.
     pub threads: Option<usize>,
-    /// Mine in support-ascending rank space (see [`reorder`]). On by
-    /// default: it only shrinks intermediate tid-sets.
-    pub reorder: bool,
 }
 
 impl Default for MineOpts {
     fn default() -> Self {
-        MineOpts { threads: Some(1), reorder: true }
+        MineOpts { threads: Some(1) }
     }
 }

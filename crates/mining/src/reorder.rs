@@ -1,9 +1,9 @@
-//! Support-ascending item reordering and the shared parallel-DFS
-//! front-end for the vertical miners.
+//! Support-ascending item reordering and the parallel-DFS front-end of
+//! the dEclat kernel.
 //!
 //! # Reordering
 //!
-//! Vertical DFS miners extend each equivalence-class member only by the
+//! A vertical DFS miner extends each equivalence-class member only by the
 //! members *after* it, so class order decides the shape of the search
 //! tree. Processing items in **ascending support** order is the classic
 //! Eclat/dEclat heuristic (Zaki, 2000): rare items head the prefixes, so
@@ -15,11 +15,11 @@
 //! itemsets but changes neither membership nor support. [`ItemReorder`]
 //! exploits this: the kernel mines over dense rank ids assigned in
 //! ascending `(support, item)` order, then [`ItemReorder::decode`] maps
-//! ranks back to items and re-sorts each itemset ascending. After the
-//! shared [`canonical_sort`] — a *total* order on `(support, len,
-//! items)` — the output bytes are identical to an un-reordered run, which
-//! is exactly what the cross-miner property tests and the determinism
-//! suite pin.
+//! ranks back to items and re-sorts each itemset ascending. After
+//! [`canonical_sort`] — a *total* order on `(support, len, items)` — the
+//! output bytes are identical to an un-reordered run, which is exactly
+//! what the Apriori-oracle property tests and the determinism suite
+//! pin.
 //!
 //! # Parallel DFS
 //!
@@ -83,7 +83,7 @@ impl ItemReorder {
     }
 }
 
-/// Drive the root-level DFS fan-out shared by the vertical kernels.
+/// Drive the root-level DFS fan-out of the kernel.
 ///
 /// `expand(i, roots, out)` must emit the full subtree rooted at class
 /// member `i` (the member itself plus every extension drawn from

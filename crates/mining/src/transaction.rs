@@ -12,7 +12,7 @@
 //! exactly two allocations regardless of recipe count. The evolution loop
 //! encodes a fresh pool per replicate (100 replicates × 25 cuisines × 4
 //! models), where the previous `Vec<Vec<u32>>` layout paid one allocation
-//! per recipe; CSR also hands the bitset mining kernel contiguous,
+//! per recipe; CSR also hands the mining kernel contiguous,
 //! cache-friendly slices.
 
 use cuisine_data::{Corpus, CuisineId, Recipe};

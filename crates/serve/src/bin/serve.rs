@@ -32,8 +32,7 @@ use cuisine_serve::{
 };
 
 const USAGE: &str = "serve [--scale F] [--seed N] [--threads N] [--no-cache] \
-[--miner fpgrowth|apriori|eclat|eclat-bitset|declat] [--mine-threads N] \
-[--no-reorder] [--replicates N] [--port N] \
+[--mine-threads N] [--replicates N] [--port N] \
 [--queue N] [--lru N] [--shards N] [--deadline-ms N] [--faults SPEC] \
 [--no-keepalive] [--self-check]";
 
@@ -125,16 +124,12 @@ fn main() {
         ..Default::default()
     };
     let version = format!(
-        "synth-seed{}-scale{}-r{}-{}",
-        opts.seed,
-        opts.scale,
-        fig4.ensemble.replicates,
-        opts.miner.label()
+        "synth-seed{}-scale{}-r{}",
+        opts.seed, opts.scale, fig4.ensemble.replicates
     );
     eprintln!(
-        "building snapshots ({} fig4 replicates/model/cuisine, {} miner) ...",
-        fig4.ensemble.replicates,
-        opts.miner.label()
+        "building snapshots ({} fig4 replicates/model/cuisine) ...",
+        fig4.ensemble.replicates
     );
     let snap_started = Instant::now();
     let mut snapshots = SnapshotStore::build_timed(&experiment, version, &ModelKind::ALL, &fig4, &|| {
@@ -154,12 +149,7 @@ fn main() {
     // inherit its spec fields and build with the same Fig. 4 options.
     // The injected clock reuses the startup `Instant` (the registry
     // itself reads no clocks — the deterministic-path lint budget).
-    let default_spec = CorpusSpec {
-        seed: opts.seed,
-        scale: opts.scale,
-        miner: opts.miner,
-        cuisines: None,
-    };
+    let default_spec = CorpusSpec { seed: opts.seed, scale: opts.scale, cuisines: None };
     let registry_config = RegistryConfig {
         default_spec: Some(default_spec),
         build: BuildOptions { models: ModelKind::ALL.to_vec(), fig4: fig4.clone() },

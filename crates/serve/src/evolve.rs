@@ -215,9 +215,7 @@ pub fn handle_evolve(request: &EvolveRequest, experiment: &Experiment) -> Result
             threads: Some(1),
         },
         mode: request.mode,
-        // Use the same mining kernel (and kernel execution options) the
-        // snapshots were built with.
-        miner: experiment.config().miner,
+        // Use the kernel execution options the snapshots were built with.
         mining: experiment.config().mining,
         ..Default::default()
     };

@@ -34,13 +34,11 @@ pub struct Gauges {
 }
 
 /// Snapshot provenance reported by `/metrics`: which build produced the
-/// precomputed bodies, with which mining kernel, and how long it took.
+/// precomputed bodies, and how long it took.
 #[derive(Debug, Clone)]
 pub struct SnapshotInfo<'a> {
     /// Snapshot set version tag.
     pub version: &'a str,
-    /// Label of the mining kernel the snapshots were built with.
-    pub miner: &'a str,
     /// Wall-clock of the snapshot build in milliseconds (0 when the
     /// embedding did not measure it, e.g. test fixtures).
     pub build_wall_ms: u64,
@@ -67,7 +65,7 @@ pub struct RegistryStats {
     /// leaves the last-good epoch serving; a failed first build leaves
     /// the entry in a Failed state answering a named `500`.
     pub build_failures: u64,
-    /// Per-corpus rows: key, state, epoch, miner, build_ms, mining_ms,
+    /// Per-corpus rows: key, state, epoch, build_ms, mining_ms,
     /// hits, rebuilding, degraded, error.
     pub corpora: Value,
 }
@@ -268,7 +266,6 @@ impl Metrics {
         doc.insert("snapshot_version", Value::String(snapshot.version.into()));
         doc.insert("snapshot_build_ms", Value::U64(snapshot.build_wall_ms));
         doc.insert("mining_wall_ms", Value::U64(snapshot.mining_wall_ms));
-        doc.insert("miner", Value::String(snapshot.miner.into()));
         doc.insert("uptime_seconds", Value::F64(self.started.elapsed().as_secs_f64()));
         doc.insert("requests_total", Value::U64(requests));
 
@@ -415,7 +412,6 @@ mod tests {
         m.record_deadline_expired();
         let info = SnapshotInfo {
             version: "test-v1",
-            miner: "eclat-bitset",
             build_wall_ms: 1234,
             mining_wall_ms: 345,
         };
@@ -431,7 +427,6 @@ mod tests {
             doc.get("snapshot_version").unwrap().as_str(),
             Some("test-v1")
         );
-        assert_eq!(doc.get("miner").unwrap().as_str(), Some("eclat-bitset"));
         assert_eq!(doc.get("snapshot_build_ms").unwrap().as_u64(), Some(1234));
         assert_eq!(doc.get("mining_wall_ms").unwrap().as_u64(), Some(345));
         let classes = doc.get("requests_by_class").unwrap().as_object().unwrap();
@@ -477,8 +472,7 @@ mod tests {
     #[test]
     fn faults_report_null_without_a_plan() {
         let m = Metrics::new();
-        let info =
-            SnapshotInfo { version: "v", miner: "fpgrowth", build_wall_ms: 0, mining_wall_ms: 0 };
+        let info = SnapshotInfo { version: "v", build_wall_ms: 0, mining_wall_ms: 0 };
         let doc: serde::Value = serde_json::from_str(&m.to_json(
             &Gauges::default(),
             &info,

@@ -1,7 +1,7 @@
 //! Multi-corpus snapshot registry: background builds, atomic hot-swap,
 //! and the zero-downtime admin API.
 //!
-//! The serving layer boots with one corpus — the `(seed, scale, miner)`
+//! The serving layer boots with one corpus — the `(seed, scale)`
 //! configuration the binary was launched with — but a fleet answering
 //! heterogeneous per-corpus queries needs many variants live at once
 //! (ROADMAP item 3). [`CorpusRegistry`] maps a canonical corpus key
@@ -50,7 +50,6 @@ use cuisine_evolution::{EnsembleConfig, EvaluationConfig, ModelKind};
 use cuisine_exec::lockorder::{self, OrderedMutex};
 use cuisine_exec::{panic_message, Faults, Flight, PoolFull, WorkerPool};
 use cuisine_lexicon::Lexicon;
-use cuisine_mining::Miner;
 use cuisine_synth::{generate_corpus, SynthConfig};
 use serde::{Map, Value};
 
@@ -91,21 +90,19 @@ pub struct CorpusSpec {
     pub seed: u64,
     /// Fraction of the paper's recipe counts to generate.
     pub scale: f64,
-    /// Mining kernel for snapshots and `/evolve` on this corpus.
-    pub miner: Miner,
     /// Restrict the corpus to these cuisines (`None` = all 25). Sorted
     /// and deduplicated by [`CorpusSpec::from_json`].
     pub cuisines: Option<Vec<CuisineId>>,
 }
 
 impl CorpusSpec {
-    /// Canonical registry key, e.g. `seed11-scale0.02-fpgrowth` or
-    /// `seed11-scale0.02-eclat-FRA_ITA`. The charset (`[A-Za-z0-9._-]`)
+    /// Canonical registry key, e.g. `seed11-scale0.02` or
+    /// `seed11-scale0.02-FRA_ITA`. The charset (`[A-Za-z0-9._-]`)
     /// survives URL query encoding and shell quoting unchanged, so the
     /// key doubles as the `?corpus=` parameter and the admin path
     /// segment.
     pub fn canonical_key(&self) -> String {
-        let mut key = format!("seed{}-scale{}-{}", self.seed, self.scale, self.miner.label());
+        let mut key = format!("seed{}-scale{}", self.seed, self.scale);
         if let Some(subset) = &self.cuisines {
             let codes: Vec<&str> = subset.iter().map(|id| id.code()).collect();
             key.push('-');
@@ -116,12 +113,11 @@ impl CorpusSpec {
 
     /// Parse an admin registration body.
     ///
-    /// Shape: `{"seed": 11, "scale": 0.02, "miner": "eclat",
-    /// "cuisines": ["ITA", "FRA"]}`. Omitted fields inherit from
-    /// `defaults` (the default corpus's spec) when provided; without
-    /// defaults, `seed` and `scale` are required. Unknown fields are
-    /// `422` so typos cannot silently register the wrong corpus;
-    /// malformed JSON is `400`.
+    /// Shape: `{"seed": 11, "scale": 0.02, "cuisines": ["ITA", "FRA"]}`.
+    /// Omitted fields inherit from `defaults` (the default corpus's spec)
+    /// when provided; without defaults, `seed` and `scale` are required.
+    /// Unknown fields are `422` so typos cannot silently register the
+    /// wrong corpus; malformed JSON is `400`.
     pub fn from_json(body: &[u8], defaults: Option<&CorpusSpec>) -> Result<Self, HttpError> {
         let text = std::str::from_utf8(body)
             .map_err(|_| HttpError::bad_request("body is not UTF-8"))?;
@@ -132,7 +128,7 @@ impl CorpusSpec {
             .ok_or_else(|| HttpError::bad_request("body must be a JSON object"))?;
 
         for (key, _) in object.iter() {
-            if !matches!(key, "seed" | "scale" | "miner" | "cuisines") {
+            if !matches!(key, "seed" | "scale" | "cuisines") {
                 return Err(HttpError::new(422, format!("unknown field {key:?}")));
             }
         }
@@ -160,18 +156,6 @@ impl CorpusSpec {
             return Err(HttpError::new(422, format!("\"scale\" must be in (0, 1], got {scale}")));
         }
 
-        let miner = match object.get("miner") {
-            Some(v) => {
-                let label = v
-                    .as_str()
-                    .ok_or_else(|| HttpError::new(422, "field \"miner\" must be a string"))?;
-                label.parse::<Miner>().map_err(|_| {
-                    HttpError::new(422, format!("unknown miner {label:?}"))
-                })?
-            }
-            None => defaults.map(|spec| spec.miner).unwrap_or_default(),
-        };
-
         let cuisines = match object.get("cuisines") {
             None => defaults.and_then(|spec| spec.cuisines.clone()),
             Some(Value::Null) => None,
@@ -198,7 +182,7 @@ impl CorpusSpec {
             }
         };
 
-        Ok(CorpusSpec { seed, scale, miner, cuisines })
+        Ok(CorpusSpec { seed, scale, cuisines })
     }
 }
 
@@ -330,14 +314,6 @@ impl CorpusEntry {
         row.insert("key", Value::String(key.to_string()));
         row.insert("state", Value::String(self.state().into()));
         row.insert("epoch", Value::U64(self.epoch));
-        // Kernel provenance: the installed snapshots' label when Ready
-        // (ground truth), else the registered spec's, else null.
-        let miner = self
-            .data
-            .as_ref()
-            .map(|data| data.snapshots.miner())
-            .or_else(|| self.spec.as_ref().map(|spec| spec.miner.label()));
-        row.insert("miner", miner.map_or(Value::Null, |label| Value::String(label.into())));
         row.insert("build_ms", Value::U64(self.build_ms));
         row.insert(
             "mining_ms",
@@ -714,7 +690,7 @@ impl CorpusRegistry {
     }
 
     /// The `GET /admin/corpora` document: the default key plus one row
-    /// per entry (key, state, epoch, miner, build_ms, mining_ms, hits,
+    /// per entry (key, state, epoch, build_ms, mining_ms, hits,
     /// rebuilding).
     pub fn admin_list(&self) -> Response {
         let shared = &self.shared;
@@ -876,8 +852,7 @@ fn build_corpus_data(
                 .collect(),
         ),
     };
-    let config = PipelineConfig { miner: spec.miner, ..base };
-    let experiment = Experiment::with_config(corpus, config);
+    let experiment = Experiment::with_config(corpus, base);
     if let Some(action) = shared.faults.fire("snapshot.serialize") {
         // Propagated as a build failure by `run_build`'s catch/apply; the
         // delay variant just stretches the serialize phase.
@@ -918,19 +893,18 @@ mod tests {
     #[test]
     fn canonical_keys_are_stable_and_subset_sorted() {
         let spec = fixture_spec();
-        assert_eq!(spec.canonical_key(), "seed11-scale0.02-fpgrowth");
+        assert_eq!(spec.canonical_key(), "seed11-scale0.02");
         let subset = CorpusSpec {
             cuisines: Some(vec!["ITA".parse().unwrap(), "FRA".parse().unwrap()]),
-            miner: Miner::Eclat,
             ..fixture_spec()
         };
         // from_json sorts; constructing by hand must match the parsed key.
         let parsed = CorpusSpec::from_json(
-            br#"{"seed":11,"scale":0.02,"miner":"eclat","cuisines":["ITA","FRA"]}"#,
+            br#"{"seed":11,"scale":0.02,"cuisines":["ITA","FRA"]}"#,
             None,
         )
         .unwrap();
-        assert_eq!(parsed.canonical_key(), "seed11-scale0.02-eclat-FRA_ITA");
+        assert_eq!(parsed.canonical_key(), "seed11-scale0.02-FRA_ITA");
         assert_eq!(parsed.cuisines, subset.cuisines.map(|mut c| {
             c.sort_by_key(|id| id.code());
             c
@@ -940,10 +914,10 @@ mod tests {
     #[test]
     fn from_json_inherits_defaults_and_rejects_bad_fields() {
         let defaults = fixture_spec();
-        let inherited = CorpusSpec::from_json(br#"{"miner":"apriori"}"#, Some(&defaults)).unwrap();
+        let inherited = CorpusSpec::from_json(br#"{"cuisines":["ITA"]}"#, Some(&defaults)).unwrap();
         assert_eq!(inherited.seed, 11);
         assert_eq!(inherited.scale, 0.02);
-        assert_eq!(inherited.miner, Miner::Apriori);
+        assert_eq!(inherited.canonical_key(), "seed11-scale0.02-ITA");
 
         assert_eq!(CorpusSpec::from_json(b"not json", None).unwrap_err().status, 400);
         let cases: &[&[u8]] = &[
@@ -951,7 +925,7 @@ mod tests {
             br#"{"seed":1}"#,                                    // missing scale, no defaults
             br#"{"seed":1,"scale":0}"#,                          // scale out of range
             br#"{"seed":1,"scale":2.0}"#,                        // scale out of range
-            br#"{"seed":1,"scale":0.02,"miner":"gpt"}"#,         // unknown miner
+            br#"{"seed":1,"scale":0.02,"miner":"declat"}"#,      // no kernel choice
             br#"{"seed":1,"scale":0.02,"cuisines":[]}"#,         // empty subset
             br#"{"seed":1,"scale":0.02,"cuisines":["Xx"]}"#,     // unknown cuisine
             br#"{"seed":1,"scale":0.02,"surprise":1}"#,          // unknown field
@@ -967,23 +941,23 @@ mod tests {
         let registry = registry();
         let by_none = registry.resolve(None).unwrap();
         let by_alias = registry.resolve(Some("default")).unwrap();
-        let by_key = registry.resolve(Some("seed11-scale0.02-fpgrowth")).unwrap();
-        assert_eq!(by_none.key(), "seed11-scale0.02-fpgrowth");
+        let by_key = registry.resolve(Some("seed11-scale0.02")).unwrap();
+        assert_eq!(by_none.key(), "seed11-scale0.02");
         assert_eq!(by_none.epoch(), 1);
         assert_eq!(by_none.cache_scope(), by_alias.cache_scope());
         assert!(Arc::ptr_eq(&by_none.snapshots, &by_key.snapshots));
 
         assert_eq!(registry.retire("default").status, 409);
-        assert_eq!(registry.retire("seed11-scale0.02-fpgrowth").status, 409);
-        assert_eq!(registry.retire("seed99-scale0.02-fpgrowth").status, 404);
+        assert_eq!(registry.retire("seed11-scale0.02").status, 409);
+        assert_eq!(registry.retire("seed99-scale0.02").status, 404);
         assert_eq!(registry.len(), 1);
     }
 
     #[test]
     fn unknown_corpora_resolve_to_not_found() {
         let registry = registry();
-        match registry.resolve(Some("seed99-scale0.5-eclat")) {
-            Err(CorpusError::NotFound(key)) => assert_eq!(key, "seed99-scale0.5-eclat"),
+        match registry.resolve(Some("seed99-scale0.5")) {
+            Err(CorpusError::NotFound(key)) => assert_eq!(key, "seed99-scale0.5"),
             other => panic!("expected NotFound, got {other:?}"),
         }
         let response = CorpusError::NotFound("x".into()).to_response();

@@ -25,15 +25,13 @@ use crate::metrics::SnapshotInfo;
 #[derive(Debug)]
 pub struct SnapshotStore {
     version: String,
-    /// Label of the mining kernel the snapshots were built with.
-    miner: &'static str,
     /// Wall-clock of the build in milliseconds. Zero until the embedding
     /// records it via [`SnapshotStore::set_build_wall_ms`] — the store
     /// does not read clocks itself (the serving library is on the
     /// deterministic-path lint budget; binaries already own the timers).
     build_wall_ms: u64,
-    /// Wall-clock of the mining stage (the two `fig3` passes — the part
-    /// the kernel choice actually accelerates) in milliseconds. Zero
+    /// Wall-clock of the mining stage (the two `fig3` passes) in
+    /// milliseconds. Zero
     /// unless the build ran through [`SnapshotStore::build_timed`] with a
     /// real clock; measured via the *injected* clock for the same lint
     /// reason as `build_wall_ms`.
@@ -103,7 +101,6 @@ impl SnapshotStore {
 
         SnapshotStore {
             version,
-            miner: experiment.config().miner.label(),
             build_wall_ms: 0,
             mining_wall_ms,
             entries,
@@ -118,11 +115,6 @@ impl SnapshotStore {
     /// Snapshot set version tag.
     pub fn version(&self) -> &str {
         &self.version
-    }
-
-    /// Label of the mining kernel that produced these snapshots.
-    pub fn miner(&self) -> &'static str {
-        self.miner
     }
 
     /// Record the measured build wall-clock (milliseconds), reported by
@@ -141,7 +133,6 @@ impl SnapshotStore {
     pub fn info(&self) -> SnapshotInfo<'_> {
         SnapshotInfo {
             version: &self.version,
-            miner: self.miner,
             build_wall_ms: self.build_wall_ms,
             mining_wall_ms: self.mining_wall_ms,
         }
@@ -237,13 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn info_reports_miner_and_build_time() {
-        let (experiment, store) = fixture();
+    fn info_reports_version_and_build_time() {
+        let (_, store) = fixture();
         let info = store.info();
         assert_eq!(info.version, FIXTURE_VERSION);
-        assert_eq!(info.miner, experiment.config().miner.label());
         assert_eq!(info.build_wall_ms, 0, "fixture build is not timed");
-        assert_eq!(store.miner(), "fpgrowth", "fixture uses the default kernel");
     }
 
     #[test]

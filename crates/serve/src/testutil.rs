@@ -11,7 +11,6 @@ use std::sync::{Arc, OnceLock};
 
 use cuisine_core::{Experiment, PipelineConfig};
 use cuisine_evolution::{EnsembleConfig, EvaluationConfig, ModelKind};
-use cuisine_mining::Miner;
 use cuisine_synth::SynthConfig;
 
 use crate::registry::{CorpusSpec, RegistryConfig};
@@ -49,12 +48,12 @@ pub fn fixture() -> &'static (Arc<Experiment>, Arc<SnapshotStore>) {
 /// The registry spec matching the fixture build — the default corpus is
 /// rebuildable and registrations can inherit its fields.
 pub fn fixture_spec() -> CorpusSpec {
-    CorpusSpec { seed: 11, scale: 0.02, miner: Miner::FpGrowth, cuisines: None }
+    CorpusSpec { seed: 11, scale: 0.02, cuisines: None }
 }
 
 /// A fresh [`AppState`] (own LRU, registry, and metrics) over the shared
 /// fixture, with the default corpus registered under the fixture spec's
-/// canonical key (`seed11-scale0.02-fpgrowth`).
+/// canonical key (`seed11-scale0.02`).
 pub fn fresh_state() -> AppState {
     let (experiment, store) = fixture();
     AppState::with_registry(

@@ -41,12 +41,7 @@ fn fig4_config() -> EvaluationConfig {
 }
 
 fn default_spec() -> CorpusSpec {
-    CorpusSpec {
-        seed: 11,
-        scale: 0.02,
-        miner: cuisine_mining::Miner::FpGrowth,
-        cuisines: None,
-    }
+    CorpusSpec { seed: 11, scale: 0.02, cuisines: None }
 }
 
 fn fixture() -> &'static (Arc<Experiment>, Arc<SnapshotStore>) {
@@ -104,7 +99,7 @@ fn hot_swap_under_load_serves_byte_identical_bodies() {
     let (_, default_store) = fixture();
 
     // Register the ITA-subset corpus and wait for its first epoch.
-    let key = "seed11-scale0.02-fpgrowth-ITA";
+    let key = "seed11-scale0.02-ITA";
     let accepted = register(addr, r#"{"cuisines":["ITA"]}"#);
     assert_eq!(accepted.status, 202, "{}", String::from_utf8_lossy(&accepted.body));
     assert!(String::from_utf8_lossy(&accepted.body).contains(key));
@@ -238,7 +233,7 @@ fn concurrent_registrations_coalesce_and_retire_leaves_default_untouched() {
     assert_eq!(occupied.status, 202);
 
     // 8 concurrent identical registrations: exactly one build, 7 coalesce.
-    let key = "seed11-scale0.02-fpgrowth-FRA_ITA";
+    let key = "seed11-scale0.02-FRA_ITA";
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| scope.spawn(move || register(addr, r#"{"cuisines":["ITA","FRA"]}"#)))

@@ -1,98 +1,7 @@
-//! Two-sample comparisons and concentration measures: two-sample
-//! Kolmogorov–Smirnov, Spearman rank correlation, and the Gini coefficient.
-//!
-//! Used by the ablation experiments to compare evolved size/usage
-//! distributions against empirical ones beyond the Eq. 2 curve distance.
+//! Concentration measures: the Gini coefficient of ingredient usage and
+//! the coefficient of variation.
 
 use crate::descriptive::mean;
-use crate::hypothesis::TestResult;
-
-/// Two-sample Kolmogorov–Smirnov test: are `xs` and `ys` drawn from the
-/// same distribution?
-///
-/// The p-value uses the asymptotic Kolmogorov distribution with effective
-/// sample size `n·m/(n+m)`. Returns `None` when either sample is empty.
-pub fn ks_test_two_sample(xs: &[f64], ys: &[f64]) -> Option<TestResult> {
-    if xs.is_empty() || ys.is_empty() {
-        return None;
-    }
-    let mut a: Vec<f64> = xs.to_vec();
-    let mut b: Vec<f64> = ys.to_vec();
-    a.sort_by(|x, y| x.partial_cmp(y).expect("finite data"));
-    b.sort_by(|x, y| x.partial_cmp(y).expect("finite data"));
-
-    let (n, m) = (a.len(), b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d: f64 = 0.0;
-    while i < n && j < m {
-        let x = a[i].min(b[j]);
-        while i < n && a[i] <= x {
-            i += 1;
-        }
-        while j < m && b[j] <= x {
-            j += 1;
-        }
-        let fa = i as f64 / n as f64;
-        let fb = j as f64 / m as f64;
-        d = d.max((fa - fb).abs());
-    }
-    let ne = (n as f64 * m as f64) / (n + m) as f64;
-    let lambda = (ne.sqrt() + 0.12 + 0.11 / ne.sqrt()) * d;
-    Some(TestResult { statistic: d, p_value: kolmogorov_sf(lambda) })
-}
-
-/// Survival function of the Kolmogorov distribution (shared with the
-/// one-sample test; duplicated privately to keep module boundaries clean).
-fn kolmogorov_sf(lambda: f64) -> f64 {
-    if lambda <= 0.0 {
-        return 1.0;
-    }
-    let mut sum = 0.0;
-    let mut sign = 1.0;
-    for k in 1..=100 {
-        let term = (-2.0 * (k as f64) * (k as f64) * lambda * lambda).exp();
-        sum += sign * term;
-        sign = -sign;
-        if term < 1e-12 {
-            break;
-        }
-    }
-    (2.0 * sum).clamp(0.0, 1.0)
-}
-
-/// Mid-ranks of a sample (average rank for ties), 1-based.
-pub fn ranks(xs: &[f64]) -> Vec<f64> {
-    let n = xs.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite data"));
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && xs[order[j + 1]] == xs[order[i]] {
-            j += 1;
-        }
-        // Average rank for the tie block [i, j].
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &order[i..=j] {
-            out[k] = avg;
-        }
-        i = j + 1;
-    }
-    out
-}
-
-/// Spearman rank correlation between paired samples.
-/// Returns `None` on mismatched lengths, fewer than two points, or zero
-/// rank variance.
-pub fn spearman_correlation(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let rx = ranks(xs);
-    let ry = ranks(ys);
-    crate::fit::pearson_correlation(&rx, &ry)
-}
 
 /// Gini coefficient of a non-negative sample: 0 = perfectly even,
 /// → 1 = all mass on one observation. Measures how concentrated a
@@ -130,62 +39,6 @@ pub fn coefficient_of_variation(xs: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampling::normal;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn ks2_accepts_same_distribution() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a: Vec<f64> = (0..1500).map(|_| normal(&mut rng, 0.0, 1.0)).collect();
-        let b: Vec<f64> = (0..1500).map(|_| normal(&mut rng, 0.0, 1.0)).collect();
-        let r = ks_test_two_sample(&a, &b).unwrap();
-        assert!(!r.rejects_at(0.01), "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn ks2_rejects_shifted_distribution() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let a: Vec<f64> = (0..1500).map(|_| normal(&mut rng, 0.0, 1.0)).collect();
-        let b: Vec<f64> = (0..1500).map(|_| normal(&mut rng, 0.5, 1.0)).collect();
-        let r = ks_test_two_sample(&a, &b).unwrap();
-        assert!(r.rejects_at(0.001), "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn ks2_statistic_bounds_and_identity() {
-        let a = [1.0, 2.0, 3.0];
-        let r = ks_test_two_sample(&a, &a).unwrap();
-        assert_eq!(r.statistic, 0.0);
-        let disjoint = ks_test_two_sample(&[1.0, 2.0], &[10.0, 11.0]).unwrap();
-        assert_eq!(disjoint.statistic, 1.0);
-    }
-
-    #[test]
-    fn ks2_empty_is_none() {
-        assert!(ks_test_two_sample(&[], &[1.0]).is_none());
-    }
-
-    #[test]
-    fn ranks_handle_ties_with_midranks() {
-        assert_eq!(ranks(&[10.0, 20.0, 20.0, 30.0]), vec![1.0, 2.5, 2.5, 4.0]);
-        assert_eq!(ranks(&[5.0, 5.0, 5.0]), vec![2.0, 2.0, 2.0]);
-        assert_eq!(ranks(&[3.0, 1.0, 2.0]), vec![3.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn spearman_monotone_is_one() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [1.0, 10.0, 100.0, 1000.0]; // nonlinear but monotone
-        assert!((spearman_correlation(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let rev: Vec<f64> = ys.iter().rev().copied().collect();
-        assert!((spearman_correlation(&xs, &rev).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn spearman_constant_is_none() {
-        assert!(spearman_correlation(&[1.0, 1.0], &[2.0, 3.0]).is_none());
-    }
 
     #[test]
     fn gini_extremes() {

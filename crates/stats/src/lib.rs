@@ -19,17 +19,12 @@
 //! - [`error`] — MAE/MSE/RMSE and the paper's Eq. 2 curve distance, with
 //!   pairwise distance matrices (Figs. 3–4 legends).
 //! - [`rank`] — rank-frequency curves and replicate aggregation.
-//! - [`bootstrap`] — percentile bootstrap confidence intervals.
-//! - [`compare`] — two-sample KS, Spearman rank correlation, Gini
-//!   concentration, coefficient of variation.
-//! - [`streaming`] — one-pass accumulators (Welford, P² quantiles) for
-//!   full-scale corpus processing.
+//! - [`compare`] — Gini concentration, coefficient of variation.
 //!
 //! Everything is deterministic under a caller-provided seeded RNG.
 
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod boxplot;
 pub mod compare;
 pub mod descriptive;
@@ -40,10 +35,8 @@ pub mod hypothesis;
 pub mod rank;
 pub mod sampling;
 pub mod special;
-pub mod streaming;
 
-pub use bootstrap::{bootstrap_ci, ConfidenceInterval};
-pub use compare::{gini, ks_test_two_sample, spearman_correlation};
+pub use compare::gini;
 pub use boxplot::BoxplotStats;
 pub use descriptive::Summary;
 pub use error::{curve_distance, mean_offdiagonal, pairwise_distance_matrix, ErrorMetric};
@@ -52,4 +45,3 @@ pub use histogram::{Histogram, IntHistogram};
 pub use hypothesis::TestResult;
 pub use rank::RankFrequency;
 pub use sampling::{AliasTable, ZipfSampler};
-pub use streaming::{P2Quantile, RunningStats};

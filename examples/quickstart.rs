@@ -51,8 +51,7 @@ fn main() {
     //    empirical combination rank-frequency curve (a one-cuisine Fig. 4).
     let setup = CuisineSetup::from_corpus(corpus, ita).expect("Italy is populated");
     let ts = TransactionSet::from_cuisine(corpus, ita, ItemMode::Ingredients, lexicon);
-    let empirical = CombinationAnalysis::mine(&ts, PAPER_MIN_SUPPORT, Miner::default())
-        .rank_frequency();
+    let empirical = CombinationAnalysis::mine(&ts, PAPER_MIN_SUPPORT).rank_frequency();
     let config = EvaluationConfig {
         ensemble: EnsembleConfig { replicates: 20, seed: 7, threads: None },
         ..Default::default()

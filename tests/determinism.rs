@@ -24,26 +24,9 @@ use cuisine_evolution::ModelKind;
 /// Thread counts to sweep: sequential, small, oversubscribed.
 const THREADS: &[Option<usize>] = &[Some(1), Some(2), Some(8)];
 
-/// The mining kernel under test. Defaults to the pipeline default; CI runs
-/// this suite a second time with `CUISINE_MINER=eclat-bitset` to pin the
-/// bitmap kernel to the exact same artifact bytes. (Env reads are fine
-/// here: test code is exempt from the determinism lint, and the knob is
-/// value-neutral by the very property this suite asserts.)
-fn miner_under_test() -> Miner {
-    match std::env::var("CUISINE_MINER") {
-        Ok(label) => label.parse().expect("CUISINE_MINER must name a miner"),
-        Err(_) => Miner::default(),
-    }
-}
-
 fn experiment(threads: Option<usize>, cache: bool) -> Experiment {
     let synth = SynthConfig { seed: 11, scale: 0.02, ..Default::default() };
-    let config = PipelineConfig {
-        threads,
-        cache,
-        miner: miner_under_test(),
-        mining: MineOpts::default(),
-    };
+    let config = PipelineConfig { threads, cache, ..Default::default() };
     Experiment::synthetic_with(&synth, config)
 }
 
@@ -51,12 +34,7 @@ fn experiment(threads: Option<usize>, cache: bool) -> Experiment {
 /// ensembles per cuisine × model × config, so keep each run cheap).
 fn small_experiment(threads: Option<usize>, cache: bool) -> Experiment {
     let synth = SynthConfig { seed: 11, scale: 0.005, ..Default::default() };
-    let config = PipelineConfig {
-        threads,
-        cache,
-        miner: miner_under_test(),
-        mining: MineOpts::default(),
-    };
+    let config = PipelineConfig { threads, cache, ..Default::default() };
     Experiment::synthetic_with(&synth, config)
 }
 
@@ -147,62 +125,15 @@ fn fig4_identical_across_threads_and_cache() {
 }
 
 #[test]
-fn miner_knob_does_not_change_any_artifact() {
-    // The mining kernel is a pure performance choice: fig3 (and its
-    // similarity matrix) and fig4 must serialize to the same bytes under
-    // every kernel. This is the cross-miner leg of the byte-identity
-    // contract; CI additionally re-runs the whole suite with
-    // CUISINE_MINER=eclat-bitset for the full threads × cache sweep.
-    let synth = SynthConfig { seed: 11, scale: 0.02, ..Default::default() };
-    let build = |miner| {
-        let config = PipelineConfig {
-            threads: Some(2),
-            cache: true,
-            miner,
-            mining: MineOpts::default(),
-        };
-        Experiment::synthetic_with(&synth, config)
-    };
-    let fig4_config = EvaluationConfig {
-        ensemble: EnsembleConfig { replicates: 2, seed: 7, threads: None },
-        ..Default::default()
-    };
-    let models = [ModelKind::Null];
-    let reference = {
-        let e = build(Miner::FpGrowth);
-        let (analysis, matrix) = e.fig3(ItemMode::Ingredients);
-        (to_json(&analysis), to_json(&matrix), to_json(&e.fig4_models(&models, &fig4_config)))
-    };
-    for miner in Miner::ALL {
-        let e = build(miner);
-        let (analysis, matrix) = e.fig3(ItemMode::Ingredients);
-        assert_eq!(to_json(&analysis), reference.0, "fig3 diverged under {miner:?}");
-        assert_eq!(to_json(&matrix), reference.1, "similarity diverged under {miner:?}");
-        assert_eq!(
-            to_json(&e.fig4_models(&models, &fig4_config)),
-            reference.2,
-            "fig4 diverged under {miner:?}"
-        );
-    }
-}
-
-#[test]
 fn kernel_options_do_not_change_fig3_or_fig4() {
-    // The kernel-internal execution options — support-ascending item
-    // reordering and DFS-level parallelism — are the PR 10 leg of the
-    // byte-identity contract: fig3 (both granularities, plus the
-    // similarity matrix) and fig4 must serialize to the same bytes across
-    // DFS threads {1, 2, 8} × reordering on/off, under the miner CI
-    // selects via CUISINE_MINER (default, eclat-bitset, declat).
+    // The kernel-internal DFS parallelism is a leg of the byte-identity
+    // contract too: fig3 (both granularities, plus the similarity matrix)
+    // and fig4 must serialize to the same bytes across DFS threads
+    // {1, 2, 8}.
     let synth = SynthConfig { seed: 11, scale: 0.02, ..Default::default() };
     let small_synth = SynthConfig { seed: 11, scale: 0.005, ..Default::default() };
     let build = |synth: &SynthConfig, mining| {
-        let config = PipelineConfig {
-            threads: Some(1),
-            cache: true,
-            miner: miner_under_test(),
-            mining,
-        };
+        let config = PipelineConfig { threads: Some(1), cache: true, mining, ..Default::default() };
         Experiment::synthetic_with(synth, config)
     };
     let fig4_config = EvaluationConfig {
@@ -211,7 +142,7 @@ fn kernel_options_do_not_change_fig3_or_fig4() {
     };
     let models = [ModelKind::Null];
     let reference = {
-        let sequential = MineOpts { threads: Some(1), reorder: false };
+        let sequential = MineOpts { threads: Some(1) };
         let e = build(&synth, sequential);
         let (ing, matrix) = e.fig3(ItemMode::Ingredients);
         let (cat, _) = e.fig3(ItemMode::Categories);
@@ -223,22 +154,20 @@ fn kernel_options_do_not_change_fig3_or_fig4() {
             to_json(&small.fig4_models(&models, &fig4_config)),
         )
     };
-    for dfs_threads in [1usize, 2, 8] {
-        for reorder in [false, true] {
-            let mining = MineOpts { threads: Some(dfs_threads), reorder };
-            let e = build(&synth, mining);
-            let (ing, matrix) = e.fig3(ItemMode::Ingredients);
-            let (cat, _) = e.fig3(ItemMode::Categories);
-            assert_eq!(to_json(&ing), reference.0, "fig3 ingredients diverged at {mining:?}");
-            assert_eq!(to_json(&matrix), reference.1, "similarity diverged at {mining:?}");
-            assert_eq!(to_json(&cat), reference.2, "fig3 categories diverged at {mining:?}");
-            let small = build(&small_synth, mining);
-            assert_eq!(
-                to_json(&small.fig4_models(&models, &fig4_config)),
-                reference.3,
-                "fig4 diverged at {mining:?}"
-            );
-        }
+    for dfs_threads in [2usize, 8] {
+        let mining = MineOpts { threads: Some(dfs_threads) };
+        let e = build(&synth, mining);
+        let (ing, matrix) = e.fig3(ItemMode::Ingredients);
+        let (cat, _) = e.fig3(ItemMode::Categories);
+        assert_eq!(to_json(&ing), reference.0, "fig3 ingredients diverged at {mining:?}");
+        assert_eq!(to_json(&matrix), reference.1, "similarity diverged at {mining:?}");
+        assert_eq!(to_json(&cat), reference.2, "fig3 categories diverged at {mining:?}");
+        let small = build(&small_synth, mining);
+        assert_eq!(
+            to_json(&small.fig4_models(&models, &fig4_config)),
+            reference.3,
+            "fig4 diverged at {mining:?}"
+        );
     }
 }
 
